@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -449,13 +450,7 @@ func TestSeedingHelpsUnderTightBudget(t *testing.T) {
 	// aware seed must not lose to the syntax-order seed, and both converge
 	// to the same plan when exploration completes.
 	s := shell(t)
-	q := `SELECT n_name, SUM(l_extendedprice) AS rev
-	      FROM customer, orders, lineitem, supplier, nation, region
-	      WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
-	        AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
-	        AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
-	      GROUP BY n_name`
-	planSeeded := func(budget int, seed bool) float64 {
+	planSeeded := func(q string, budget int, seed bool) float64 {
 		t.Helper()
 		sel, err := sqlparser.ParseSelect(q)
 		if err != nil {
@@ -472,7 +467,7 @@ func TestSeedingHelpsUnderTightBudget(t *testing.T) {
 		}
 		var seeds []*algebra.Tree
 		if seed {
-			seeds = append(seeds, normalize.SeedCollocated(norm))
+			seeds = append(seeds, normalize.GreedyJoinOrder(norm))
 		}
 		m, err := memo.OptimizeSeeded(s, norm, budget, seeds...)
 		if err != nil {
@@ -493,10 +488,42 @@ func TestSeedingHelpsUnderTightBudget(t *testing.T) {
 		}
 		return p.TotalCost
 	}
-	for _, budget := range []int{60, 300, 3000} {
-		un, se := planSeeded(budget, false), planSeeded(budget, true)
-		if se > un*1.001 {
-			t.Errorf("budget %d: seeded %v worse than unseeded %v", budget, se, un)
-		}
+	for _, tc := range []struct {
+		name string
+		q    string
+		// halved lists the budgets at which the seed must at least halve
+		// the unseeded plan cost.
+		halved []int
+	}{
+		{name: "q05-join-graph", q: `SELECT n_name, SUM(l_extendedprice) AS rev
+			FROM customer, orders, lineitem, supplier, nation, region
+			WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
+			  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+			  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+			GROUP BY n_name`},
+		// The E10 query: q05 with a scrambled FROM order, so the
+		// normalized initial plan starts from cross joins and a starved
+		// search depends on the seed to reach a collocated order.
+		{name: "e10-q05-scrambled", q: `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
+			FROM customer, region, lineitem, supplier, orders, nation
+			WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
+			  AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+			  AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+			  AND r_name = 'ASIA'
+			  AND o_orderdate >= '1994-01-01'
+			  AND o_orderdate < DATEADD(year, 1, '1994-01-01')
+			GROUP BY n_name`, halved: []int{50, 200}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, budget := range []int{50, 60, 200, 300, 3000} {
+				un, se := planSeeded(tc.q, budget, false), planSeeded(tc.q, budget, true)
+				if se > un*1.001 {
+					t.Errorf("budget %d: seeded %v worse than unseeded %v", budget, se, un)
+				}
+				if slices.Contains(tc.halved, budget) && se > un/2 {
+					t.Errorf("budget %d: seeded %v not at most half of unseeded %v", budget, se, un)
+				}
+			}
+		})
 	}
 }

@@ -615,6 +615,11 @@ func (a *Appliance) runOnNodes(ctx context.Context, stepID, move int, tree *alge
 	if err != nil {
 		return nil, total, err
 	}
+	for i, rel := range rels {
+		if rel == nil {
+			return nil, total, stepError(stepID, nodes[i].ID, ErrKindExec, errors.New("node produced no relation"))
+		}
+	}
 	return rels, total, nil
 }
 

@@ -33,6 +33,9 @@ func (a *Appliance) workers(n int) int {
 //
 // The returned error is the lowest-index failure among tasks that ran,
 // matching what the serial loop would have reported when every task runs.
+// When no task failed but the parent context ended, unstarted indices
+// were skipped, so the parent's error is returned: parallelFor never
+// reports success for work it did not do.
 func parallelFor(ctx context.Context, n, w int, fn func(ctx context.Context, i int) error) error {
 	if n == 0 {
 		return nil
@@ -78,7 +81,7 @@ func parallelFor(ctx context.Context, n, w int, fn func(ctx context.Context, i i
 			return err
 		}
 	}
-	return nil
+	return ctx.Err()
 }
 
 // sleepCtx waits for d unless the context ends first, returning the

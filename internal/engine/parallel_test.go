@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -107,6 +108,59 @@ func TestParallelForHonorsParentCancellation(t *testing.T) {
 	}
 	if calls != 0 {
 		t.Errorf("%d tasks ran under a cancelled parent context", calls)
+	}
+}
+
+// TestParallelForCancelledParentProperty cancels the parent context from
+// inside a random task, with random task failures, at every worker count.
+// Whatever the schedule: a run that skipped an index never reports
+// success, and when some task that ran failed, the lowest-index such
+// failure is the one reported.
+func TestParallelForCancelledParentProperty(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, w := range []int{1, 2, 4} {
+		for trial := 0; trial < 200; trial++ {
+			n := 1 + rng.Intn(32)
+			cancelAt := rng.Intn(n)
+			failing := map[int]bool{}
+			for i := 0; i < n; i++ {
+				if rng.Intn(8) == 0 {
+					failing[i] = true
+				}
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := make([]int32, n)
+			err := parallelFor(ctx, n, w, func(_ context.Context, i int) error {
+				atomic.StoreInt32(&ran[i], 1)
+				if i == cancelAt {
+					cancel()
+				}
+				if failing[i] {
+					return fmt.Errorf("task %d failed", i)
+				}
+				return nil
+			})
+			cancel()
+			skipped, firstFail := false, -1
+			for i := range ran {
+				switch {
+				case ran[i] == 0:
+					skipped = true
+				case failing[i] && firstFail < 0:
+					firstFail = i
+				}
+			}
+			switch {
+			case firstFail >= 0:
+				if want := fmt.Sprintf("task %d failed", firstFail); err == nil || err.Error() != want {
+					t.Fatalf("w=%d trial %d: got %v, want %q", w, trial, err, want)
+				}
+			case skipped:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("w=%d trial %d: skipped an index but returned %v", w, trial, err)
+				}
+			}
+		}
 	}
 }
 

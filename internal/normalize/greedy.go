@@ -1,17 +1,28 @@
 package normalize
 
 import (
+	"strings"
+
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/catalog"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/stats"
 	"pdwqo/internal/types"
 )
 
 // GreedyJoinOrder rewrites every maximal inner-join region of the tree
-// into a fixed greedy join order — the large-join fallback regime the
-// optimizer switches to when its enumeration budget trips (ROADMAP item
-// 3; "Efficient Massively Parallel Join Optimization for Large Queries"
-// argues the same DP-below / greedy-above split).
+// into a fixed greedy join order. It is the repository's one join
+// orderer and plays two roles:
+//
+//   - MEMO seed (§3.1, Options.SeedCollocated): "For PDW optimization, we
+//     seed the MEMO with execution plans that consider distribution
+//     information of tables, for collocated operations." The reordered
+//     tree is inserted alongside the normalized one, so a tight
+//     exploration budget still starts from a collocated join order.
+//   - Budget fallback (Options.SearchBudget): the large-join regime the
+//     optimizer switches to when its enumeration budget trips
+//     ("Efficient Massively Parallel Join Optimization for Large Queries"
+//     argues the same DP-below / greedy-above split).
 //
 // The heuristic is cheapest-feasible-edge: grow one join component,
 // always attaching the factor reachable over a predicate edge whose join
@@ -35,8 +46,8 @@ func GreedyJoinOrder(t *algebra.Tree) *algebra.Tree {
 				factors[i] = greedyChildren(factors[i])
 			}
 			// Re-running pushdown restores single-table filters to their
-			// scans and splits join conditions, exactly as SeedCollocated
-			// does for the §3.1 seed plan.
+			// scans and splits join conditions, so the reordered tree is
+			// as normalized as the original — only the join order differs.
 			return pushdown(greedyRegion(factors, conjs, t.OutputCols()))
 		}
 	}
@@ -53,6 +64,110 @@ func greedyChildren(t *algebra.Tree) *algebra.Tree {
 		children[i] = GreedyJoinOrder(c)
 	}
 	return algebra.NewTree(t.Op, children...)
+}
+
+// disassembleRegion splits a contiguous inner-join/select region into its
+// leaf factors and the pooled conjuncts.
+func disassembleRegion(t *algebra.Tree) ([]*algebra.Tree, []algebra.Scalar) {
+	var factors []*algebra.Tree
+	var conjs []algebra.Scalar
+	var walk func(n *algebra.Tree)
+	walk = func(n *algebra.Tree) {
+		switch op := n.Op.(type) {
+		case *algebra.Select:
+			conjs = append(conjs, algebra.Conjuncts(op.Filter)...)
+			walk(n.Children[0])
+			return
+		case *algebra.Join:
+			if op.Kind == algebra.JoinInner || op.Kind == algebra.JoinCross {
+				conjs = append(conjs, algebra.Conjuncts(op.On)...)
+				walk(n.Children[0])
+				walk(n.Children[1])
+				return
+			}
+		}
+		factors = append(factors, n)
+	}
+	walk(t)
+	return factors, conjs
+}
+
+// factorDist approximates the natural placement of a factor: the hash
+// columns it is (or stays) distributed on, or replicated.
+type factorDist struct {
+	replicated bool
+	cols       algebra.ColSet
+}
+
+func distOf(t *algebra.Tree) factorDist {
+	switch op := t.Op.(type) {
+	case *algebra.Get:
+		if op.Table.Dist.Kind == catalog.DistReplicated {
+			return factorDist{replicated: true}
+		}
+		cols := algebra.NewColSet()
+		for _, c := range op.Cols {
+			if strings.EqualFold(c.Name, op.Table.Dist.Column) {
+				cols.Add(c.ID)
+			}
+		}
+		return factorDist{cols: cols}
+	case *algebra.Select, *algebra.Sort:
+		return distOf(t.Children[0])
+	case *algebra.Project:
+		in := distOf(t.Children[0])
+		if in.replicated {
+			return in
+		}
+		out := algebra.NewColSet()
+		for _, d := range op.Defs {
+			if c, ok := d.Expr.(*algebra.ColRef); ok && in.cols.Has(c.ID) {
+				out.Add(d.ID)
+			}
+		}
+		return factorDist{cols: out}
+	case *algebra.GroupBy:
+		in := distOf(t.Children[0])
+		if in.replicated {
+			return in
+		}
+		keys := algebra.NewColSet(op.Keys...)
+		out := algebra.NewColSet()
+		for id := range in.cols {
+			if keys.Has(id) {
+				out.Add(id)
+			}
+		}
+		return factorDist{cols: out}
+	case *algebra.Values:
+		return factorDist{replicated: true}
+	default:
+		return factorDist{cols: algebra.NewColSet()}
+	}
+}
+
+// sizeOf estimates a factor's unfiltered cardinality from shell
+// statistics; greedyRegion scales it by its single-factor filters.
+func sizeOf(t *algebra.Tree) float64 {
+	switch op := t.Op.(type) {
+	case *algebra.Get:
+		if r := op.Table.RowCount(); r > 0 {
+			return r
+		}
+		return 1000
+	case *algebra.Values:
+		return float64(len(op.Rows)) + 1
+	}
+	if len(t.Children) > 0 {
+		m := 0.0
+		for _, c := range t.Children {
+			if s := sizeOf(c); s > m {
+				m = s
+			}
+		}
+		return m
+	}
+	return 1000
 }
 
 // gconj is one pooled conjunct with its column footprint and equi-join

@@ -154,8 +154,10 @@ type Options struct {
 	// the E9/E19 ablations; results must be identical either way.
 	DisableAggSplit bool
 	// SeedCollocated applies the §3.1 distribution-aware seeding: the
-	// initial plan inserted into the MEMO joins collocated factors first,
-	// which preserves plan quality under tight exploration budgets.
+	// MEMO also receives the join order of normalize.GreedyJoinOrder —
+	// the same orderer SearchBudget falls back to — which joins
+	// collocated factors first and so preserves plan quality under tight
+	// exploration budgets.
 	SeedCollocated bool
 	// SearchBudget caps the PDW-side enumeration at a number of options
 	// considered, checked at the wave barriers of the bottom-up search;
@@ -529,7 +531,7 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		// §3.1: seed the MEMO with a distribution-aware plan *alongside*
 		// the normalized one, so a tight budget still explores the
 		// collocated neighborhood.
-		if seeded := normalize.SeedCollocated(norm); seeded.Fingerprint() != norm.Fingerprint() {
+		if seeded := normalize.GreedyJoinOrder(norm); seeded.Fingerprint() != norm.Fingerprint() {
 			seeds = append(seeds, seeded)
 		}
 	}
